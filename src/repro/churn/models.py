@@ -9,6 +9,7 @@ substrate to the paper's taxonomy.
 from __future__ import annotations
 
 import abc
+import bisect
 import random
 from typing import Callable
 
@@ -116,11 +117,24 @@ class ChurnModel(abc.ABC):
         return proc
 
     def _leave_random(self) -> int | None:
-        """Remove a uniformly random present, non-immortal process."""
-        present = sorted(self.sim.network.present() - self.immortal)
-        if not present:
+        """Remove a uniformly random present, non-immortal process.
+
+        The victim is the ``index``-th eligible pid in ascending order,
+        found in the sorted member index by stepping ``index`` over each
+        present immortal pid at or below it.  One ``randrange`` over the
+        eligible count is the draw ``rng.choice`` makes on the sorted
+        eligible list, so the pick is the same for the same seed.
+        """
+        network = self.sim.network
+        members = network.members()
+        skip = sorted(pid for pid in self.immortal if network.is_present(pid))
+        if len(members) <= len(skip):
             return None
-        victim = self.rng.choice(present)
+        index = self.rng.randrange(len(members) - len(skip))
+        for pid in skip:
+            if bisect.bisect_left(members, pid) <= index:
+                index += 1
+        victim = members[index]
         self.sim.kill(victim)
         self.leaves += 1
         self.sim.metrics.inc("churn.leaves")
@@ -139,7 +153,7 @@ class NoChurn(ChurnModel):
 
     def _start(self) -> None:
         if self._n is None:
-            self._n = len(self.sim.network.present())
+            self._n = self.sim.network.population()
 
     def arrival_class(self) -> ArrivalClass:
         return StaticArrival(max(1, self._n or 1))
@@ -184,7 +198,11 @@ class ArrivalDepartureChurn(ChurnModel):
 
     def _start(self) -> None:
         if self.doom_initial:
-            for pid in sorted(self.sim.network.present() - self.immortal):
+            initial = [
+                pid for pid in self.sim.network.members()
+                if pid not in self.immortal
+            ]
+            for pid in initial:
                 self._doom(pid, self.lifetimes.sample(self.rng))
         self._schedule_next_arrival()
 
@@ -203,7 +221,7 @@ class ArrivalDepartureChurn(ChurnModel):
     def _arrive(self) -> None:
         if not self.active_at(self.sim.now):
             return
-        population = len(self.sim.network.present())
+        population = self.sim.network.population()
         if self.concurrency_cap is not None and population >= self.concurrency_cap:
             self.rejected += 1
         else:
@@ -244,7 +262,7 @@ class ReplacementChurn(ChurnModel):
         self._n = 0
 
     def _start(self) -> None:
-        self._n = len(self.sim.network.present())
+        self._n = self.sim.network.population()
         if self.rate > 0 and self._n > 0:
             self._schedule_next()
 
@@ -388,7 +406,7 @@ class PhasedChurn(ChurnModel):
 
     def arrival_class(self) -> ArrivalClass:
         return InfiniteArrivalBounded(
-            max(1, len(self.sim.network.present())) if self._sim else 1
+            max(1, self.sim.network.population()) if self._sim else 1
         )
 
     def __repr__(self) -> str:

@@ -245,7 +245,7 @@ class FaultInjector:
     def _crash(self, index: int, spec: FaultSpec) -> None:
         sim = self.sim
         network = sim.network
-        candidates = sorted(set(network.present()) - self.protected)
+        candidates = [p for p in network.members() if p not in self.protected]
         victims: list[int] = []
         if candidates:
             victims = sorted(

@@ -8,12 +8,14 @@ peek at global state.
 
 State is slot-backed for scale (see ``docs/SCALING.md``): each entity
 occupies a recycled slot in parallel arrays (process object, adjacency
-set, pid), with a dense slot list for O(1) uniform sampling.  Pids remain
+set, pid), with a dense slot list for O(1) uniform sampling and a sorted
+member index for seed-deterministic picks in pid order.  Pids remain
 globally unique and are never reused — slots are storage, not identity.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -100,6 +102,9 @@ class Network:
         self._free: list[int] = []
         self._dense: list[int] = []
         self._dense_pos: list[int] = []
+        # Present pids in ascending order, kept in step with ``_slot_of``.
+        # Pids are monotone, so a join is almost always an append.
+        self._members: list[int] = []
         self._edge_delays: dict[tuple[int, int], DelayModel] = {}
         # Topology journals: incremental consumers (PartitionFault's
         # watchdog) subscribe to joins and new links instead of rescanning
@@ -119,6 +124,16 @@ class Network:
         """Ids of processes currently in the system (omniscient view —
         available to the analysis layer, never to protocol code)."""
         return frozenset(self._slot_of)
+
+    def members(self) -> list[int]:
+        """Ids of present processes in ascending order (O(1)).
+
+        This is the live index, not a copy: treat it as read-only, and
+        copy it before changing membership while iterating.  It always
+        equals ``sorted(present())``, so picks indexed into it draw the
+        same random numbers as picks indexed into that sorted list.
+        """
+        return self._members
 
     def population(self) -> int:
         """Number of processes currently present (O(1))."""
@@ -152,10 +167,17 @@ class Network:
             self._dense_pos.append(len(self._dense))
         self._dense.append(slot)
         self._slot_of[pid] = slot
+        members = self._members
+        if not members or pid > members[-1]:
+            members.append(pid)
+        else:  # an explicit ``spawn(pid=...)`` below the newest pid
+            bisect.insort(members, pid)
         return slot
 
     def _release_slot(self, pid: int) -> None:
         slot = self._slot_of.pop(pid)
+        members = self._members
+        del members[bisect.bisect_left(members, pid)]
         self._procs[slot] = None
         self._adj[slot] = None
         # Swap-remove from the dense slot list.
@@ -175,13 +197,15 @@ class Network:
         if pid in self._slot_of:
             raise MembershipError(f"process {pid} is already present")
         neighbor_ids = set(neighbors)
-        missing = neighbor_ids - self._slot_of.keys()
+        slot_of = self._slot_of
+        missing = [other for other in neighbor_ids if other not in slot_of]
         if missing:
             raise MembershipError(
                 f"cannot attach {pid} to absent processes {sorted(missing)}"
             )
+        ordered = sorted(neighbor_ids)
         self._alloc_slot(proc)
-        for other in sorted(neighbor_ids):
+        for other in ordered:
             self._link(pid, other)
         if self._journals:
             for journal in self._journals.values():
@@ -190,7 +214,7 @@ class Network:
         self._sim.trace.record(
             self._sim.now, tr.JOIN, entity=pid, degree=len(neighbor_ids),
             value=getattr(proc, "value", None),
-            neighbors=tuple(sorted(neighbor_ids)),
+            neighbors=tuple(ordered),
         )
         proc._alive = True
         proc.on_start()
@@ -199,12 +223,10 @@ class Network:
         # In complete mode every present process is a neighbor of the
         # newcomer, so everyone learns of the join.
         if self.complete:
-            to_notify = set(self._slot_of)
-            to_notify.discard(pid)
+            to_notify = [other for other in self._members if other != pid]
         else:
-            to_notify = neighbor_ids
-        slot_of = self._slot_of
-        for other in sorted(to_notify):
+            to_notify = ordered
+        for other in to_notify:
             other_slot = slot_of.get(other)
             if other_slot is not None:  # may have left during callbacks
                 self._procs[other_slot].on_neighbor_join(pid)
@@ -223,8 +245,9 @@ class Network:
         former_neighbors: list[int] = []
         if self.complete:
             if self.notify_leaves:
-                former_neighbors = sorted(self._slot_of)
-                former_neighbors.remove(pid)
+                former_neighbors = [
+                    other for other in self._members if other != pid
+                ]
         else:
             adj = self._adj[self._slot_of[pid]]
             assert adj is not None

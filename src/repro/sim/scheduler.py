@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.obs.metrics import Metrics
 from repro.obs.sinks import TraceSink
@@ -167,17 +167,19 @@ class Simulator:
         self,
         delay: float,
         make_process: Callable[[], Process],
-        choose_neighbors: Callable[[frozenset[int]], Iterable[int]],
+        choose_neighbors: Callable[[Sequence[int]], Iterable[int]],
     ) -> Event:
         """Schedule a join: at ``now + delay`` create a process and attach it.
 
-        ``choose_neighbors`` receives the set of processes present at join
-        time and returns the attachment points.
+        ``choose_neighbors`` receives the ids of the processes present at
+        join time as a sorted, read-only sequence (the network's live
+        member index, so no copy is made per join) and returns the
+        attachment points.
         """
 
         def _join() -> None:
             proc = make_process()
-            self.spawn(proc, choose_neighbors(self.network.present()))
+            self.spawn(proc, choose_neighbors(self.network.members()))
 
         return self.schedule(
             delay, _join, priority=PRIORITY_MEMBERSHIP, label="join"

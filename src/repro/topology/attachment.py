@@ -39,11 +39,12 @@ class UniformAttachment(AttachmentRule):
         self.k = k
 
     def choose(self, network: "Network", rng: random.Random) -> list[int]:
-        present = sorted(network.present())
-        if not present:
+        # ``sample`` only indexes the sequence, so sampling the live
+        # sorted index draws exactly as sampling a sorted copy would.
+        members = network.members()
+        if not members:
             return []
-        count = min(self.k, len(present))
-        return rng.sample(present, count)
+        return rng.sample(members, min(self.k, len(members)))
 
     def __repr__(self) -> str:
         return f"UniformAttachment(k={self.k})"
@@ -59,10 +60,10 @@ class DegreeProportionalAttachment(AttachmentRule):
         self.k = k
 
     def choose(self, network: "Network", rng: random.Random) -> list[int]:
-        present = sorted(network.present())
+        present = network.members()
         if not present:
             return []
-        weights = [len(network.neighbors(pid)) + 1 for pid in present]
+        weights = [network.degree(pid) + 1 for pid in present]
         chosen: list[int] = []
         candidates = list(present)
         cand_weights = list(weights)
@@ -92,12 +93,12 @@ class ChainAttachment(AttachmentRule):
     """
 
     def choose(self, network: "Network", rng: random.Random) -> list[int]:
-        present = network.present()
-        if not present:
+        members = network.members()
+        if not members:
             return []
         # Ids are allocated monotonically, so the newest process has the
         # largest id.
-        return [max(present)]
+        return [members[-1]]
 
     def __repr__(self) -> str:
         return "ChainAttachment()"

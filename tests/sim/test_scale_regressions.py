@@ -10,7 +10,10 @@ reintroduce a linear cost:
   compaction bounds storage by the live count);
 * slot recycling keeps the slot arrays bounded by the peak population;
 * ``sample_present`` / ``sample_neighbor`` draw uniformly without
-  enumerating the population.
+  enumerating the population;
+* a join with neighbors on a sparse graph, a uniform attachment pick, a
+  replacement with an immortal querier and a capped arrival neither walk
+  the slot map nor build the ``present()`` set.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import random
 
 import pytest
 
+from repro.churn.lifetimes import ExponentialLifetime
+from repro.churn.models import ArrivalDepartureChurn, ReplacementChurn
 from repro.sim.events import (
     CalendarEventQueue,
     EventQueue,
@@ -29,6 +34,7 @@ from repro.sim.network import Network
 from repro.sim.node import Process
 from repro.sim.scheduler import Simulator
 from repro.sim.trace import TraceLog
+from repro.topology.attachment import UniformAttachment
 
 
 class _Null(Process):
@@ -40,18 +46,42 @@ class _IterationTrap(dict):
 
     ``remove_process`` with ``notify_leaves=False`` on a complete graph
     must be O(degree-of-change), so it has no business walking every
-    present pid.  Lookups and mutation stay legal; iteration raises.
+    present pid; neither has a join or a churn pick.  Lookups, ``len``
+    and mutation stay legal; iteration raises.
     """
 
     def __iter__(self):
-        raise AssertionError(
-            "remove_process iterated the whole present-pid table"
-        )
+        raise AssertionError("iterated the whole present-pid table")
 
     def keys(self):
-        raise AssertionError(
-            "remove_process materialised the present-pid key view"
-        )
+        raise AssertionError("materialised the present-pid key view")
+
+
+@pytest.fixture
+def present_calls(monkeypatch):
+    """Count calls of ``Network.present`` (each one copies every pid)."""
+    calls = []
+    original = Network.present
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Network, "present", counting)
+    return calls
+
+
+def _sparse(n: int, seed: int = 1) -> tuple[Simulator, list[int]]:
+    """A path of ``n`` processes (each attached to its predecessor)."""
+    sim = Simulator(seed=seed)
+    pids = [sim.spawn(_Null(0)).pid]
+    for _ in range(n - 1):
+        pids.append(sim.spawn(_Null(0), neighbors=[pids[-1]]).pid)
+    return sim, pids
+
+
+def _arm(sim: Simulator) -> None:
+    sim.network._slot_of = _IterationTrap(sim.network._slot_of)
 
 
 class TestSilentLeaveIsSublinear:
@@ -59,7 +89,7 @@ class TestSilentLeaveIsSublinear:
         sim = Simulator(seed=1, complete=True, notify_leaves=False)
         pids = [sim.spawn(_Null(0)).pid for _ in range(64)]
         # Arm the trap after setup: joins may enumerate, leaves must not.
-        sim.network._slot_of = _IterationTrap(sim.network._slot_of)
+        _arm(sim)
         sim.network.remove_process(pids[10])
         sim.network.remove_process(pids[20])
         assert sim.network.population() == 62
@@ -75,6 +105,53 @@ class TestSilentLeaveIsSublinear:
         pids = [sim.spawn(Watcher(0)).pid for _ in range(5)]
         sim.network.remove_process(pids[0])
         assert sorted(p for p, _ in seen) == sorted(pids[1:])
+
+
+class TestMembershipChangesAreSublinear:
+    """Joins, leaves and picks read the sorted member index, never a
+    copy of the whole population."""
+
+    def test_join_with_neighbors_on_sparse_graph(self, present_calls):
+        sim, pids = _sparse(64)
+        _arm(sim)
+        proc = sim.spawn(_Null(0), neighbors=[pids[3], pids[40]])
+        assert sim.network.neighbors(proc.pid) == {pids[3], pids[40]}
+        assert sim.network.members()[-1] == proc.pid
+        assert present_calls == []
+
+    def test_uniform_attachment_choose(self, present_calls):
+        sim, pids = _sparse(64)
+        _arm(sim)
+        chosen = UniformAttachment(3).choose(sim.network, random.Random(4))
+        assert len(set(chosen)) == 3 and set(chosen) <= set(pids)
+        assert present_calls == []
+
+    def test_replacement_with_immortal_querier(self, present_calls):
+        sim, pids = _sparse(64)
+        churn = ReplacementChurn(lambda: _Null(0), rate=1.0)
+        churn.install(sim)
+        churn.immortal.add(pids[0])
+        _arm(sim)
+        for _ in range(20):
+            churn._replace()
+        assert churn.joins == churn.leaves == 20
+        assert sim.network.is_present(pids[0])
+        assert sim.network.population() == 64
+        assert present_calls == []
+
+    def test_capped_arrival(self, present_calls):
+        sim, _ = _sparse(64)
+        churn = ArrivalDepartureChurn(
+            lambda: _Null(0), arrival_rate=1.0,
+            lifetimes=ExponentialLifetime(10.0), concurrency_cap=65,
+        )
+        churn.install(sim)
+        _arm(sim)
+        churn._arrive()  # room for one more: joins
+        churn._arrive()  # at the cap: rejected
+        assert (churn.joins, churn.rejected) == (1, 1)
+        assert sim.network.population() == 65
+        assert present_calls == []
 
 
 class TestTombstoneBound:
