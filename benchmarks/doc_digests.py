@@ -11,7 +11,8 @@ before and after it and comparing the output::
 
 The plans are the ``sweep`` and ``churn`` workloads of ``perfbench`` at
 seeds 1 and 7, every ``ChurnSpec`` kind with ``protect_querier`` on and
-off, and a crash fault under churn.  Each line is ``<sha256>  <plan>``;
+off, a crash fault under churn, a partition under churn, and push-sum
+gossip in both modes under churn.  Each line is ``<sha256>  <plan>``;
 the last line digests all of them together.  It uses only ``repro.api``
 and the ``perfbench`` workload plans, so it runs unchanged on older
 commits that have both.
@@ -62,6 +63,16 @@ def plans() -> list[tuple[str, object]]:
     named.append(("replacement+chaos-mix",
                   build_plan("digest-faults", base=base, trials=4,
                              root_seed=2007)))
+    base = dict(KIND_BASE, churn=KINDS["replacement"], faults="split-brain")
+    named.append(("replacement+split-brain",
+                  build_plan("digest-partition", base=base, trials=4,
+                             root_seed=2007)))
+    for mode in ("avg", "count"):
+        base = {"n": 32, "topology": "er", "mode": mode,
+                "churn": KINDS["replacement"]}
+        named.append((f"gossip-{mode}+replacement",
+                      build_plan(f"digest-gossip-{mode}", kind="gossip",
+                                 base=base, trials=4, root_seed=2007)))
     return named
 
 

@@ -112,7 +112,6 @@ def run_scale_trial(n: int, horizon: float, seed: int = 2007) -> dict:
         "events_per_sec": round(sim.events_executed / sim_wall_s, 1)
         if sim_wall_s > 0 else 0.0,
         "peak_rss_kb": _peak_rss_kb(),
-        "queue_backend": sim.queue.backend,
     }
 
 
@@ -136,7 +135,7 @@ def main() -> int:
             point["speedup_vs_seed"] = round(point["events_per_sec"] / ref, 1)
         print(f"n={n:>6}: {point['events_per_sec']:>9.0f} ev/s "
               f"({point['events']} events in {point['sim_wall_s']}s, "
-              f"setup {point['setup_s']}s, queue={point['queue_backend']}, "
+              f"setup {point['setup_s']}s, "
               f"rss {point['peak_rss_kb'] / 1024:.0f} MB)")
         points.append(point)
 

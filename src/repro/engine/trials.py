@@ -525,12 +525,12 @@ def run_gossip(config: GossipConfig) -> GossipOutcome:
         node = sim.network.process(reader_pid)
         assert isinstance(node, PushSumNode)
         state["estimate"] = node.read_estimate()
-        present = sim.network.present()
         if config.mode == "count":
-            state["truth"] = float(len(present))
+            state["truth"] = float(sim.network.population())
         else:
             values = [
-                float(sim.network.process(pid).value) for pid in sorted(present)
+                float(sim.network.process(pid).value)
+                for pid in sim.network.members()
             ]
             state["truth"] = sum(values) / len(values) if values else float("nan")
 

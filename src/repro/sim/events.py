@@ -1,26 +1,18 @@
-"""Event queues for the discrete-event simulator.
+"""The event queue of the discrete-event simulator.
 
 Ordering is total and deterministic: events fire by ``(time, priority,
 sequence)``, so two events scheduled for the same instant fire in
 scheduling order and simulations are exactly reproducible for a given
-seed.
+seed.  The priority is what lets the adversary control ties: a
+membership change at time t fires before the deliveries at t.
 
-Two interchangeable implementations honour that contract:
-
-* :class:`HeapEventQueue` — a binary heap, O(log n) per operation.  Best
-  at the population sizes the seed experiments run at (n ≈ 32).
-* :class:`CalendarEventQueue` — a bucketed calendar queue, O(1) amortised
-  per operation.  Wins once the pending-event population reaches the
-  thousands (n ≈ 10⁴–10⁵ entities with one timer each).
-
-:class:`EventQueue` — the type the simulator actually uses — starts as a
-heap and migrates to a calendar queue when the live-event count crosses
-:data:`CALENDAR_THRESHOLD`.  The switch is unobservable: both backends
-pop in the identical total order (proven by the differential suite in
-``tests/sim/test_event_ordering_differential.py``).
+:class:`EventQueue` is one binary heap whose entries are ``(time,
+priority, seq, event)`` tuples.  ``seq`` is unique, so ``heapq`` settles
+every comparison on the first three fields in C and never compares two
+:class:`Event` objects.
 
 Cancellation is cooperative and lazy (:meth:`Event.cancel` just sets a
-flag), but not leaky: both backends count tombstones and compact their
+flag), but not leaky: the queue counts tombstones and compacts its
 storage once cancelled-but-unpopped entries outnumber live ones, so
 memory stays proportional to the live event count.
 """
@@ -29,9 +21,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import insort
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.sim.errors import SchedulingError
 
@@ -44,18 +35,12 @@ PRIORITY_MEMBERSHIP = -1
 #: Priority for bookkeeping that must run after everything else at an instant.
 PRIORITY_LATE = 1
 
-#: Live-event count above which the adaptive :class:`EventQueue` migrates
-#: from the binary heap to the calendar queue.  Seed-scale experiments
-#: (n ≈ 32, a few hundred pending events) never cross it, so their
-#: execution path — and therefore their result documents — are untouched.
-CALENDAR_THRESHOLD = 2048
-
 #: Tombstone compaction floor: below this many cancelled entries the
-#: queues do not bother rebuilding storage.
+#: queue does not bother rebuilding storage.
 _COMPACT_FLOOR = 64
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True)
 class Event:
     """A scheduled callback.
 
@@ -80,16 +65,16 @@ class Event:
         self.cancelled = True
 
 
-class HeapEventQueue:
-    """Binary-heap event queue: O(log n) push/pop.
+class EventQueue:
+    """A deterministic priority queue of :class:`Event` objects.
 
-    This is the seed implementation, unchanged in behaviour, plus
-    tombstone accounting so cancellations cannot leak memory.
+    A binary heap of ``(time, priority, seq, event)`` tuples: O(log n)
+    push and pop, with the key compared as plain tuples.
     """
 
-    def __init__(self, counter: Iterator[int] | None = None) -> None:
-        self._heap: list[Event] = []
-        self._counter = itertools.count() if counter is None else counter
+    def __init__(self) -> None:
+        self._heap: list[tuple[float, int, int, Event]] = []
+        self._counter = itertools.count()
         self._live = 0
         self._tombstones = 0
 
@@ -114,8 +99,9 @@ class HeapEventQueue:
         """Schedule ``action`` at ``time`` and return the event handle."""
         if time != time:  # NaN guard
             raise SchedulingError("event time is NaN")
-        event = Event(time, priority, next(self._counter), action, label)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, priority, seq, action, label)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         self._live += 1
         return event
 
@@ -125,8 +111,9 @@ class HeapEventQueue:
         Raises:
             SchedulingError: if the queue is empty.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[3]
             if event.cancelled:
                 if self._tombstones:
                     self._tombstones -= 1
@@ -137,11 +124,12 @@ class HeapEventQueue:
 
     def peek_time(self) -> float | None:
         """Return the firing time of the earliest live event, or ``None``."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
             if self._tombstones:
                 self._tombstones -= 1
-        return self._heap[0].time if self._heap else None
+        return heap[0][0] if heap else None
 
     def note_cancelled(self) -> None:
         """Account for an event cancelled through its handle.
@@ -158,16 +146,9 @@ class HeapEventQueue:
 
     def compact(self) -> None:
         """Drop cancelled entries and re-heapify; memory stays O(live)."""
-        self._heap = [event for event in self._heap if not event.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
         heapq.heapify(self._heap)
         self._tombstones = 0
-
-    def drain_live(self) -> list[Event]:
-        """Remove and return every live event (used for backend migration)."""
-        heap, self._heap = self._heap, []
-        self._live = 0
-        self._tombstones = 0
-        return [event for event in heap if not event.cancelled]
 
     def clear(self) -> None:
         """Drop every pending event."""
@@ -176,252 +157,14 @@ class HeapEventQueue:
         self._tombstones = 0
 
 
-class CalendarEventQueue:
-    """Bucketed calendar queue: O(1) amortised push/pop at scale.
-
-    Events hash into fixed-width time buckets (``bucket = ⌊time/width⌋ mod
-    nbuckets``); each bucket stays sorted, so a pop walks the calendar one
-    "day" at a time and takes the front of the current bucket.  The bucket
-    count doubles/halves and the width is re-estimated from the live event
-    spacing whenever occupancy drifts, keeping a handful of events per
-    bucket.
-
-    The pop order is the same total order as the heap — ``(time, priority,
-    seq)`` — because same-instant events always share a bucket (identical
-    times hash identically) and the in-bucket sort uses the full key.
-    """
-
-    MIN_BUCKETS = 16
-
-    def __init__(self, counter: Iterator[int] | None = None) -> None:
-        self._counter = itertools.count() if counter is None else counter
-        self._width = 1.0
-        self._nbuckets = self.MIN_BUCKETS
-        self._mask = self._nbuckets - 1
-        self._buckets: list[list[Event]] = [[] for _ in range(self._nbuckets)]
-        self._live = 0
-        self._tombstones = 0
-        #: Virtual bucket index (``⌊time/width⌋``, *not* reduced modulo
-        #: nbuckets) of the scan cursor.  Inserts behind the cursor pull it
-        #: back, so the forward scan can never miss an event.
-        self._vcur = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    def storage_size(self) -> int:
-        """Number of entries physically held (live + tombstones)."""
-        return self._live + self._tombstones
-
-    # -- construction ---------------------------------------------------
-
-    def _rebuild(self, events: list[Event]) -> None:
-        """Re-bucket ``events`` with a width fitted to their spacing."""
-        count = len(events)
-        nbuckets = self.MIN_BUCKETS
-        while nbuckets < count:
-            nbuckets *= 2
-        if count >= 2:
-            times = sorted(event.time for event in events)
-            span = times[-1] - times[0]
-            width = (2.0 * span / count) if span > 0.0 else 1.0
-            width = max(width, 1e-9)
-        else:
-            width = 1.0
-        self._width = width
-        self._nbuckets = nbuckets
-        self._mask = nbuckets - 1
-        self._buckets = [[] for _ in range(nbuckets)]
-        self._live = 0
-        self._tombstones = 0
-        self._vcur = int(min((e.time for e in events), default=0.0) / width)
-        for event in events:
-            self._insert(event)
-
-    def _insert(self, event: Event) -> None:
-        v = int(event.time / self._width)
-        insort(self._buckets[v & self._mask], event)
-        if v < self._vcur:
-            self._vcur = v
-        self._live += 1
-
-    def _maybe_resize(self) -> None:
-        if self._live > 2 * self._nbuckets or (
-            self._nbuckets > self.MIN_BUCKETS and self._live < self._nbuckets // 4
-        ):
-            self._rebuild(
-                [e for b in self._buckets for e in b if not e.cancelled]
-            )
-
-    # -- queue API ------------------------------------------------------
-
-    def push(
-        self,
-        time: float,
-        action: Callable[[], Any],
-        *,
-        priority: int = PRIORITY_NORMAL,
-        label: str = "",
-    ) -> Event:
-        """Schedule ``action`` at ``time`` and return the event handle."""
-        if time != time:  # NaN guard
-            raise SchedulingError("event time is NaN")
-        event = Event(time, priority, next(self._counter), action, label)
-        self._insert(event)
-        if self._live > 2 * self._nbuckets:
-            self._maybe_resize()
-        return event
-
-    def _scan(self, remove: bool) -> Event:
-        """Find (and optionally remove) the earliest live event.
-
-        Walks forward from the cursor for at most one calendar rotation;
-        if nothing lands inside its own "day" (sparse far-future events),
-        falls back to a direct min over the bucket fronts.
-        """
-        width = self._width
-        v = self._vcur
-        for _ in range(self._nbuckets):
-            bucket = self._buckets[v & self._mask]
-            while bucket and bucket[0].cancelled:
-                del bucket[0]
-                self._tombstones -= 1
-            if bucket:
-                event = bucket[0]
-                if int(event.time / width) == v:
-                    self._vcur = v
-                    if remove:
-                        del bucket[0]
-                        self._live -= 1
-                    return event
-            v += 1
-        best: Event | None = None
-        for bucket in self._buckets:
-            while bucket and bucket[0].cancelled:
-                del bucket[0]
-                self._tombstones -= 1
-            if bucket and (best is None or bucket[0] < best):
-                best = bucket[0]
-        if best is None:  # pragma: no cover - guarded by _live checks
-            raise SchedulingError("pop from empty event queue")
-        self._vcur = int(best.time / width)
-        if remove:
-            del self._buckets[self._vcur & self._mask][0]
-            self._live -= 1
-        return best
-
-    def pop(self) -> Event:
-        """Remove and return the earliest live event.
-
-        Raises:
-            SchedulingError: if the queue is empty.
-        """
-        if self._live == 0:
-            raise SchedulingError("pop from empty event queue")
-        event = self._scan(remove=True)
-        if self._nbuckets > self.MIN_BUCKETS and self._live < self._nbuckets // 4:
-            self._maybe_resize()
-        return event
-
-    def peek_time(self) -> float | None:
-        """Return the firing time of the earliest live event, or ``None``."""
-        if self._live == 0:
-            return None
-        return self._scan(remove=False).time
-
-    def note_cancelled(self) -> None:
-        """Account for an event cancelled through its handle; compact the
-        buckets once tombstones outnumber live events."""
-        if self._live > 0:
-            self._live -= 1
-            self._tombstones += 1
-            if self._tombstones > max(self._live, _COMPACT_FLOOR):
-                self.compact()
-
-    def compact(self) -> None:
-        """Drop cancelled entries; memory stays O(live)."""
-        for bucket in self._buckets:
-            if bucket:
-                bucket[:] = [e for e in bucket if not e.cancelled]
-        self._tombstones = 0
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        self._buckets = [[] for _ in range(self._nbuckets)]
-        self._live = 0
-        self._tombstones = 0
-        self._vcur = 0
+#: Former name of the heap queue, kept only for the perfbench tracer's import.
+HeapEventQueue = EventQueue
 
 
-class EventQueue:
-    """A deterministic priority queue of :class:`Event` objects.
-
-    Adaptive: starts on the binary heap and migrates to the calendar
-    queue — same total order, proven by the differential suite — once the
-    live-event count exceeds ``calendar_threshold``.  Pass
-    ``calendar_threshold=None`` to pin the heap backend.
-
-    The hot-path methods (``push``/``pop``/``peek_time``/``note_cancelled``)
-    are rebound to the backend's bound methods after migration, so the
-    facade adds no steady-state indirection.
-    """
-
-    def __init__(self, calendar_threshold: int | None = CALENDAR_THRESHOLD) -> None:
-        self._counter = itertools.count()
-        self._impl: HeapEventQueue | CalendarEventQueue = HeapEventQueue(
-            counter=self._counter
-        )
-        self._threshold = calendar_threshold
-        self.pop = self._impl.pop
-        self.peek_time = self._impl.peek_time
-        self.note_cancelled = self._impl.note_cancelled
-
-    def __len__(self) -> int:
-        return len(self._impl)
-
-    def __bool__(self) -> bool:
-        return self._impl._live > 0
-
-    @property
-    def backend(self) -> str:
-        """Active backend name: ``"heap"`` or ``"calendar"``."""
-        return "calendar" if isinstance(self._impl, CalendarEventQueue) else "heap"
-
-    def storage_size(self) -> int:
-        """Number of entries physically held (live + tombstones)."""
-        return self._impl.storage_size()
-
-    def push(
-        self,
-        time: float,
-        action: Callable[[], Any],
-        *,
-        priority: int = PRIORITY_NORMAL,
-        label: str = "",
-    ) -> Event:
-        """Schedule ``action`` at ``time`` and return the event handle."""
-        event = self._impl.push(time, action, priority=priority, label=label)
-        if self._threshold is not None and self._impl._live > self._threshold:
-            self._promote()
-        return event
-
-    def _promote(self) -> None:
-        """Migrate the heap's live events into a calendar queue."""
-        assert isinstance(self._impl, HeapEventQueue)
-        live = self._impl.drain_live()
-        calendar = CalendarEventQueue(counter=self._counter)
-        calendar._rebuild(live)
-        self._impl = calendar
-        # Rebind the hot path straight to the backend; push can too, since
-        # promotion is one-way.
-        self.push = calendar.push  # type: ignore[method-assign]
-        self.pop = calendar.pop
-        self.peek_time = calendar.peek_time
-        self.note_cancelled = calendar.note_cancelled
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        self._impl.clear()
+class CalendarEventQueue(EventQueue):
+    # Never instantiated: the perfbench tracer wraps push/pop/peek_time from
+    # each imported class's own __dict__, so this name needs its own
+    # entries; aliasing it to EventQueue would wrap EventQueue twice.
+    push = EventQueue.push
+    pop = EventQueue.pop
+    peek_time = EventQueue.peek_time

@@ -128,15 +128,15 @@ class PartitionFault:
 
     def _split(self) -> None:
         network = self.sim.network
-        present = sorted(network.present())
-        if len(present) < 2:
+        if network.population() < 2:
             return
         rng = self.sim.rng_for("partition")
-        self._assignment = self.groups(present, rng)
+        # A copy: the group policy is user code and may mutate its input.
+        self._assignment = self.groups(list(network.members()), rng)
         self.active = True
         self._journal_token = network.open_topology_journal()
         self._pending_adoption = {
-            pid for pid in network.present() if pid not in self._assignment
+            pid for pid in network.members() if pid not in self._assignment
         }
         for a, b in sorted(network.edges()):
             side_a = self._assignment.get(a)

@@ -1,12 +1,12 @@
-"""Differential suite: heap vs calendar queue pop order.
+"""The event-ordering contract, checked against a brute-force model.
 
-The adaptive :class:`EventQueue` silently migrates from the binary heap to
-the bucketed calendar queue at scale.  That migration is only sound if both
-backends realise the *identical* total order — ``(time, priority, seq)`` —
-under every workload shape: ties, mixed priorities, interleaved push/pop,
-cancellations, clustered and far-flung times.  Each test here feeds the
-same schedule to both backends and asserts the pop sequences match
-event-for-event.
+The simulator's determinism rests on one total order: events fire by
+``(time, priority, seq)``.  Each test here feeds one schedule to
+:class:`EventQueue` and to :class:`_ModelQueue` — a plain list popped by
+``min`` over that key, with the same cancellation rule — and asserts the
+pop sequences match event-for-event.  The schedules cover ties, mixed
+priorities, interleaved push/pop, cancellations, and clustered and
+far-flung times.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ import pytest
 
 from repro.sim.errors import SchedulingError
 from repro.sim.events import (
-    CalendarEventQueue,
     EventQueue,
-    HeapEventQueue,
     PRIORITY_LATE,
     PRIORITY_MEMBERSHIP,
     PRIORITY_NORMAL,
@@ -27,25 +25,39 @@ from repro.sim.events import (
 from repro.sim.scheduler import Simulator
 
 
-def _drain(queue):
-    order = []
-    while queue:
-        event = queue.pop()
-        order.append((event.time, event.priority, event.seq, event.label))
-    return order
+class _ModelQueue:
+    """Reference: pending ``(time, priority, seq)`` keys, popped by ``min``."""
+
+    def __init__(self):
+        self.pending = []
+        self.pushed = 0
+
+    def push(self, time, priority):
+        self.pending.append((time, priority, self.pushed))
+        self.pushed += 1
+
+    def pop(self):
+        key = min(self.pending)
+        self.pending.remove(key)
+        return key
+
+    def cancel(self, seq):
+        self.pending = [key for key in self.pending if key[2] != seq]
 
 
-def _run_schedule(make_queue, schedule):
-    """Apply a (op, args) schedule to a fresh queue; return the pop order.
+def _run_schedule(schedule):
+    """Apply a (op, args) schedule to a fresh queue and to the model.
 
     Ops: ``("push", time, priority, label)``, ``("pop",)``,
     ``("cancel", k)`` (cancel the k-th pushed, if still pending —
     ``note_cancelled`` is the scheduler's accounting hook for *pending*
-    cancellations only, matching how the simulator uses it).
+    cancellations only, matching how the simulator uses it).  Both sides
+    are drained at the end; returns the two pop sequences.
     """
-    queue = make_queue()
+    queue = EventQueue()
+    model = _ModelQueue()
     handles = []
-    popped = []
+    popped, expected = [], []
     popped_seqs = set()
     for op in schedule:
         if op[0] == "push":
@@ -53,43 +65,43 @@ def _run_schedule(make_queue, schedule):
             handles.append(
                 queue.push(time, lambda: None, priority=priority, label=label)
             )
+            model.push(time, priority)
         elif op[0] == "pop":
             if queue:
                 event = queue.pop()
                 popped.append((event.time, event.priority, event.seq))
                 popped_seqs.add(event.seq)
+            if model.pending:
+                expected.append(model.pop())
         elif op[0] == "cancel":
             handle = handles[op[1] % len(handles)]
             if not handle.cancelled and handle.seq not in popped_seqs:
                 handle.cancel()
                 queue.note_cancelled()
-    popped.extend((e[0], e[1], e[2]) for e in _drain(queue))
-    return popped
+                model.cancel(handle.seq)
+        assert len(queue) == len(model.pending), op
+    while queue:
+        event = queue.pop()
+        popped.append((event.time, event.priority, event.seq))
+    while model.pending:
+        expected.append(model.pop())
+    return popped, expected
 
 
-BACKENDS = [
-    ("heap", HeapEventQueue),
-    ("calendar", CalendarEventQueue),
-    ("adaptive-pinned-heap", lambda: EventQueue(calendar_threshold=None)),
-    ("adaptive-migrating", lambda: EventQueue(calendar_threshold=8)),
-]
-
-
-def _assert_all_backends_agree(schedule):
-    reference = _run_schedule(HeapEventQueue, schedule)
-    for name, factory in BACKENDS[1:]:
-        assert _run_schedule(factory, schedule) == reference, name
+def _assert_matches_model(schedule):
+    popped, expected = _run_schedule(schedule)
+    assert popped == expected
 
 
 def test_simple_times_pop_in_order():
     schedule = [("push", t, PRIORITY_NORMAL, "") for t in
                 [5.0, 1.0, 3.0, 2.0, 4.0, 0.5, 10.0]]
-    _assert_all_backends_agree(schedule)
+    _assert_matches_model(schedule)
 
 
 def test_ties_pop_in_insertion_order():
     schedule = [("push", 1.0, PRIORITY_NORMAL, f"e{i}") for i in range(50)]
-    _assert_all_backends_agree(schedule)
+    _assert_matches_model(schedule)
 
 
 def test_priorities_break_ties_before_sequence():
@@ -97,7 +109,7 @@ def test_priorities_break_ties_before_sequence():
     for i in range(30):
         priority = [PRIORITY_MEMBERSHIP, PRIORITY_NORMAL, PRIORITY_LATE][i % 3]
         schedule.append(("push", 2.0, priority, f"p{priority}"))
-    _assert_all_backends_agree(schedule)
+    _assert_matches_model(schedule)
 
 
 def test_interleaved_push_and_pop():
@@ -110,7 +122,7 @@ def test_interleaved_push_and_pop():
             )
         else:
             schedule.append(("pop",))
-    _assert_all_backends_agree(schedule)
+    _assert_matches_model(schedule)
 
 
 def test_cancellations_are_skipped_identically():
@@ -126,23 +138,23 @@ def test_cancellations_are_skipped_identically():
             schedule.append(("cancel", rng.randrange(pushes)))
         else:
             schedule.append(("pop",))
-    _assert_all_backends_agree(schedule)
+    _assert_matches_model(schedule)
 
 
 def test_clustered_and_far_future_times():
-    # A tight cluster now plus far-flung outliers: stresses the calendar
-    # queue's rotation fallback (events far outside the current "day").
+    # A tight cluster now plus far-flung outliers and a late straggler
+    # that lands inside the cluster.
     schedule = [("push", 0.001 * i, 0, "") for i in range(100)]
     schedule += [("push", 1e6 + i, 0, "") for i in range(5)]
     schedule += [("push", 0.05, 0, "")]
-    _assert_all_backends_agree(schedule)
+    _assert_matches_model(schedule)
 
 
 def test_identical_times_at_scale():
-    # Thousands of events at one instant: everything lands in one bucket
-    # and order must still be pure insertion order.
+    # Thousands of events at one instant: order must be pure insertion
+    # order.
     schedule = [("push", 42.0, 0, "") for _ in range(3000)]
-    _assert_all_backends_agree(schedule)
+    _assert_matches_model(schedule)
 
 
 def test_random_schedules_fuzz():
@@ -164,26 +176,24 @@ def test_random_schedules_fuzz():
                 schedule.append(("cancel", rng.randrange(pushes)))
             else:
                 schedule.append(("pop",))
-        _assert_all_backends_agree(schedule)
+        _assert_matches_model(schedule)
 
 
 def test_pop_from_empty_raises_on_all_backends():
-    for name, factory in BACKENDS:
-        queue = factory()
-        with pytest.raises(SchedulingError):
-            queue.pop()
-        event = queue.push(1.0, lambda: None)
+    queue = EventQueue()
+    with pytest.raises(SchedulingError):
         queue.pop()
-        with pytest.raises(SchedulingError):
-            queue.pop()
-        assert event is not None, name
+    queue.push(1.0, lambda: None)
+    queue.pop()
+    with pytest.raises(SchedulingError):
+        queue.pop()
 
 
 def test_nan_time_rejected_on_all_backends():
-    for name, factory in BACKENDS:
-        queue = factory()
-        with pytest.raises(SchedulingError):
-            queue.push(float("nan"), lambda: None)
+    queue = EventQueue()
+    with pytest.raises(SchedulingError):
+        queue.push(float("nan"), lambda: None)
+    assert len(queue) == 0
 
 
 def test_negative_delay_rejected_by_scheduler():
@@ -192,34 +202,3 @@ def test_negative_delay_rejected_by_scheduler():
         sim.schedule(-0.1, lambda: None)
     with pytest.raises(SchedulingError):
         sim.at(-1.0, lambda: None)
-
-
-def test_migration_preserves_pending_order():
-    # Push enough to trip the adaptive threshold mid-stream, with ties and
-    # priorities, and check against a pinned heap.
-    rng = random.Random(23)
-    schedule = []
-    for i in range(5000):
-        schedule.append((
-            "push", round(rng.uniform(0, 10), 3), rng.choice([-1, 0, 1]), ""
-        ))
-        if i % 7 == 0:
-            schedule.append(("pop",))
-    reference = _run_schedule(lambda: EventQueue(calendar_threshold=None),
-                              schedule)
-    migrated = _run_schedule(lambda: EventQueue(calendar_threshold=2048),
-                             schedule)
-    assert migrated == reference
-
-
-def test_adaptive_backend_reports_migration():
-    queue = EventQueue(calendar_threshold=4)
-    assert queue.backend == "heap"
-    for i in range(6):
-        queue.push(float(i), lambda: None)
-    assert queue.backend == "calendar"
-    # Seq counter is shared across the migration: later pushes still sort
-    # after earlier same-instant ones.
-    queue.push(0.0, lambda: None, label="late")
-    first = queue.pop()
-    assert first.label != "late"

@@ -6,7 +6,7 @@ reintroduce a linear cost:
 
 * ``Network.remove_process`` must not materialise the whole present set on
   a silent departure from a complete graph;
-* cancelled events must not accumulate in either queue backend (tombstone
+* cancelled events must not accumulate in the event queue (tombstone
   compaction bounds storage by the live count);
 * slot recycling keeps the slot arrays bounded by the peak population;
 * ``sample_present`` / ``sample_neighbor`` draw uniformly without
@@ -24,12 +24,7 @@ import pytest
 
 from repro.churn.lifetimes import ExponentialLifetime
 from repro.churn.models import ArrivalDepartureChurn, ReplacementChurn
-from repro.sim.events import (
-    CalendarEventQueue,
-    EventQueue,
-    HeapEventQueue,
-    _COMPACT_FLOOR,
-)
+from repro.sim.events import EventQueue, _COMPACT_FLOOR
 from repro.sim.network import Network
 from repro.sim.node import Process
 from repro.sim.scheduler import Simulator
@@ -155,14 +150,8 @@ class TestMembershipChangesAreSublinear:
 
 
 class TestTombstoneBound:
-    @pytest.mark.parametrize("factory", [
-        HeapEventQueue,
-        CalendarEventQueue,
-        lambda: EventQueue(calendar_threshold=None),
-        lambda: EventQueue(calendar_threshold=1000),
-    ])
-    def test_cancelling_10k_events_keeps_storage_bounded(self, factory):
-        queue = factory()
+    def test_cancelling_10k_events_keeps_storage_bounded(self):
+        queue = EventQueue()
         keep = [queue.push(float(i), lambda: None) for i in range(100)]
         for i in range(10_000):
             event = queue.push(100.0 + i * 0.01, lambda: None)
