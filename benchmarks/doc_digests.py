@@ -12,10 +12,17 @@ before and after it and comparing the output::
 The plans are the ``sweep`` and ``churn`` workloads of ``perfbench`` at
 seeds 1 and 7, every ``ChurnSpec`` kind with ``protect_querier`` on and
 off, a crash fault under churn, a partition under churn, and push-sum
-gossip in both modes under churn.  Each line is ``<sha256>  <plan>``;
-the last line digests all of them together.  It uses only ``repro.api``
-and the ``perfbench`` workload plans, so it runs unchanged on older
-commits that have both.
+gossip in both modes under churn.  Three more plans cover the trace
+sinks that do not keep transport events: the ``flood`` workload at seed
+1 (n=2000 under the ``counts`` sink, with its histograms and per-kind
+counters), replacement churn under the ``null`` sink, and replacement
+churn with ``check_invariants`` (a checking sink over ``counts``).
+
+Each line is ``<sha256>  <plan>``.  The ``ALL`` line digests the first
+eighteen plans together, as it did before the sink plans were added, so
+its value can be compared with older outputs; ``ALL+sinks`` digests every
+plan.  The script uses only ``repro.api`` and the ``perfbench`` workload
+plans, so it runs unchanged on older commits that have both.
 """
 
 from __future__ import annotations
@@ -76,14 +83,32 @@ def plans() -> list[tuple[str, object]]:
     return named
 
 
+def sink_plans() -> list[tuple[str, object]]:
+    """The plans run under sinks that keep no transport events."""
+    replacement = dict(KIND_BASE, churn=KINDS["replacement"])
+    return [
+        ("flood@1", WORKLOADS["flood"].build(1)),
+        ("replacement/sink=null",
+         build_plan("digest-null", base=dict(replacement, trace_sink="null"),
+                    trials=4, root_seed=2007)),
+        ("replacement/check_invariants",
+         build_plan("digest-checking",
+                    base=dict(replacement, trace_sink="counts",
+                              check_invariants=True),
+                    trials=4, root_seed=2007)),
+    ]
+
+
 def main() -> int:
-    total = hashlib.sha256()
-    for name, plan in plans():
+    named = plans()
+    digests = []
+    for name, plan in named + sink_plans():
         text = run_plan(plan, executor=ExecutorSpec.serial()).to_json()
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        total.update(digest.encode("ascii"))
-        print(f"{digest}  {name}", flush=True)
-    print(f"{total.hexdigest()}  ALL")
+        digests.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
+        print(f"{digests[-1]}  {name}", flush=True)
+    for label, chosen in (("ALL", digests[:len(named)]), ("ALL+sinks", digests)):
+        total = hashlib.sha256("".join(chosen).encode("ascii")).hexdigest()
+        print(f"{total}  {label}")
     return 0
 
 

@@ -18,6 +18,7 @@ same rule as :class:`~repro.engine.results.TrialResult.wall_time`).
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Any, Iterator, Sequence
 
@@ -74,7 +75,7 @@ class Histogram:
         bounds = tuple(float(b) for b in buckets)
         if not bounds:
             raise ConfigurationError(f"histogram {name!r} needs >= 1 bucket")
-        if any(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:])):
+        if not all(b1 < b2 for b1, b2 in zip(bounds, bounds[1:])):
             raise ConfigurationError(
                 f"histogram buckets must strictly increase, got {bounds}"
             )
@@ -86,11 +87,12 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.count += 1
         self.sum += value
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        if value == value:
+            # The first bound >= value; past the last bound is overflow.
+            self.counts[bisect_left(self.buckets, value)] += 1
+        else:
+            # NaN is <= no bound, so it overflows; bisect_left would say 0.
+            self.counts[-1] += 1
 
     def summary(self) -> dict[str, Any]:
         return {
@@ -150,7 +152,16 @@ class Metrics:
 
     def inc(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name`` (created on first use)."""
-        self.counter(name).inc(amount)
+        # Inlined get-or-create: this runs once per send and delivery.
+        # Counters are created here, not up front, so a counter that never
+        # fires stays out of the snapshot.
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(name)
+        if amount >= 0:
+            counter.value += amount
+        else:
+            counter.inc(amount)  # raises ConfigurationError
 
     def set_gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` (created on first use)."""
@@ -160,7 +171,10 @@ class Metrics:
         self, name: str, value: float, buckets: Sequence[float] = DEFAULT_BUCKETS
     ) -> None:
         """Observe ``value`` in histogram ``name`` (created on first use)."""
-        self.histogram(name, buckets).observe(value)
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[name] = Histogram(name, buckets)
+        histogram.observe(value)
 
     @contextmanager
     def timer(self, phase: str) -> Iterator[None]:

@@ -57,11 +57,29 @@ class TraceSink(abc.ABC):
 
         Default policy: retain everything except the transport firehose.
         :class:`MemorySink` overrides this to retain all kinds.
+
+        Must be a pure function of ``kind``: the TraceLog asks once per
+        kind and reuses the answer for every later event of that kind.
         """
         return kind not in TRANSPORT_KINDS
 
     def emit(self, event: "TraceEvent") -> None:
-        """Called once per recorded event, in record order."""
+        """Called once per recorded event of a retained kind, in record
+        order (and, through the default :meth:`emit_fields`, for every
+        other event too)."""
+
+    def emit_fields(self, time: float, kind: str, data: dict[str, Any]) -> None:
+        """Called instead of :meth:`emit` for an event of a kind the sink
+        does not retain, with the event's fields; no event object exists.
+
+        The default builds the :class:`~repro.sim.trace.TraceEvent` and
+        calls :meth:`emit`, so a sink that overrides only :meth:`emit`
+        still sees every event.  Sinks that need only the fields override
+        this to skip building it.
+        """
+        from repro.sim.trace import TraceEvent
+
+        self.emit(TraceEvent(time, kind, data))
 
     def close(self) -> None:
         """Flush and release any resources (idempotent)."""
@@ -93,6 +111,9 @@ class NullSink(TraceSink):
 
     name = "null"
 
+    def emit_fields(self, time: float, kind: str, data: dict[str, Any]) -> None:
+        pass
+
 
 class CountingSink(TraceSink):
     """Keep only count summaries of the dropped transport events.
@@ -109,12 +130,17 @@ class CountingSink(TraceSink):
         self._by_msg_kind: dict[str, dict[str, int]] = {}
 
     def emit(self, event: "TraceEvent") -> None:
-        if event.kind not in TRANSPORT_KINDS:
+        self.emit_fields(event.time, event.kind, event.data)
+
+    def emit_fields(self, time: float, kind: str, data: dict[str, Any]) -> None:
+        if kind not in TRANSPORT_KINDS:
             return
-        msg_kind = event.get("msg_kind")
+        msg_kind = data.get("msg_kind")
         if msg_kind is None:
             return
-        breakdown = self._by_msg_kind.setdefault(event.kind, {})
+        breakdown = self._by_msg_kind.get(kind)
+        if breakdown is None:
+            breakdown = self._by_msg_kind[kind] = {}
         breakdown[msg_kind] = breakdown.get(msg_kind, 0) + 1
 
     def summary(self) -> dict[str, dict[str, int]]:
@@ -144,10 +170,13 @@ class JsonlStreamSink(TraceSink):
         self.events_written = 0
 
     def emit(self, event: "TraceEvent") -> None:
+        self.emit_fields(event.time, event.kind, event.data)
+
+    def emit_fields(self, time: float, kind: str, data: dict[str, Any]) -> None:
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = self.path.open("w", encoding="utf-8")
-        record = encode_event(event.time, event.kind, event.data)
+        record = encode_event(time, kind, data)
         self._handle.write(json.dumps(record) + "\n")
         self.events_written += 1
 

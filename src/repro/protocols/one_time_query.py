@@ -146,7 +146,7 @@ class WaveNode(AggregatingProcess):
         qid = message.payload["qid"]
         ttl = message.payload["ttl"]
         if qid in self._states:
-            if message.sender in self.neighbors():
+            if self.has_neighbor(message.sender):
                 self.send(message.sender, WAVE_DECLINE, qid=qid)
             return
         state = _WaveState(
@@ -209,7 +209,7 @@ class WaveNode(AggregatingProcess):
                 )
             state.on_complete(dict(state.contributions))
             return
-        if state.parent is not None and state.parent in self.neighbors():
+        if state.parent is not None and self.has_neighbor(state.parent):
             self.send(
                 state.parent,
                 WAVE_ECHO,

@@ -115,6 +115,13 @@ class Network:
         # of how many messages other simulations in this Python process
         # have created.
         self._msg_ids = itertools.count()
+        # Per-message-kind names, built once per kind: the
+        # ``net.sent.<kind>`` counter and the ``deliver:<kind>`` label.
+        self._sent_counters: dict[str, str] = {}
+        self._deliver_labels: dict[str, str] = {}
+        # The "transport" stream, bound on the first send.  Streams derive
+        # from their names, so binding it late draws the same numbers.
+        self._transport_rng: "random.Random | None" = None
 
     # ------------------------------------------------------------------
     # Membership
@@ -443,15 +450,22 @@ class Network:
             # key) and register it for acknowledgement tracking; control
             # traffic and retransmissions pass through unchanged.
             message = self.resilience.outbound(message)
-        now = self._sim.now
+        sim = self._sim
+        kind = message.kind
         msg_id = next(self._msg_ids)
-        self._sim.metrics.inc("net.sent")
-        self._sim.metrics.inc(f"net.sent.{message.kind}")
-        self._sim.trace.record(
-            now, tr.SEND, msg_id=msg_id, msg_kind=message.kind,
+        metrics = sim.metrics
+        metrics.inc("net.sent")
+        counter = self._sent_counters.get(kind)
+        if counter is None:
+            counter = self._sent_counters[kind] = f"net.sent.{kind}"
+        metrics.inc(counter)
+        sim.trace.record(
+            sim._now, tr.SEND, msg_id=msg_id, msg_kind=kind,
             sender=sender, receiver=receiver,
         )
-        rng = self._sim.rng_for("transport")
+        rng = self._transport_rng
+        if rng is None:
+            rng = self._transport_rng = sim.rng_for("transport")
         if self.loss_model.is_lost(rng):
             self._lose(message, msg_id, "loss", counter="net.dropped.loss")
             return
@@ -466,11 +480,14 @@ class Network:
                 counter="net.dropped.fault",
             )
             return
-        delay = self._delay_for(sender, receiver).sample(rng)
-        self._sim.metrics.observe("net.delivery_delay", delay)
+        if self._edge_delays:
+            delay = self._delay_for(sender, receiver).sample(rng)
+        else:
+            delay = self.delay_model.sample(rng)
+        metrics.observe("net.delivery_delay", delay)
         if effect is not None and effect.extra_delay > 0.0:
             delay += effect.extra_delay
-            self._sim.metrics.observe("faults.extra_delay", effect.extra_delay)
+            metrics.observe("faults.extra_delay", effect.extra_delay)
         self._schedule_delivery(message, msg_id, delay)
         if effect is not None and effect.copies > 0:
             # Duplicates reuse the original msg_id (they *are* the same
@@ -503,36 +520,42 @@ class Network:
     def _schedule_delivery(
         self, message: Message, msg_id: int, delay: float
     ) -> None:
-        deliver_at = self._sim.now + delay
+        sim = self._sim
+        deliver_at = sim._now + delay
         if self.fifo:
             channel = (message.sender, message.receiver)
             deliver_at = max(deliver_at, self._last_delivery.get(channel, 0.0))
             self._last_delivery[channel] = deliver_at
-        self._sim.at(
+        kind = message.kind
+        label = self._deliver_labels.get(kind)
+        if label is None:
+            label = self._deliver_labels[kind] = f"deliver:{kind}"
+        sim.at(
             deliver_at,
             lambda: self._deliver(message, msg_id),
             priority=PRIORITY_NORMAL,
-            label=f"deliver:{message.kind}",
+            label=label,
         )
 
     def _deliver(self, message: Message, msg_id: int) -> None:
-        now = self._sim.now
+        sim = self._sim
         slot = self._slot_of.get(message.receiver)
         receiver = self._procs[slot] if slot is not None else None
         if receiver is None or not receiver._alive:
-            self._sim.metrics.inc("net.dropped.receiver_absent")
-            self._sim.trace.record(
-                now, tr.DROP, msg_id=msg_id, msg_kind=message.kind,
+            sim.metrics.inc("net.dropped.receiver_absent")
+            sim.trace.record(
+                sim._now, tr.DROP, msg_id=msg_id, msg_kind=message.kind,
                 sender=message.sender, receiver=message.receiver,
                 reason="receiver_absent",
             )
             return
-        self._sim.metrics.inc("net.delivered")
+        metrics = sim.metrics
+        metrics.inc("net.delivered")
         hops = message.payload.get("hops")
         if isinstance(hops, int):
-            self._sim.metrics.observe("net.delivery_hops", hops, buckets=HOP_BUCKETS)
-        self._sim.trace.record(
-            now, tr.DELIVER, msg_id=msg_id, msg_kind=message.kind,
+            metrics.observe("net.delivery_hops", hops, buckets=HOP_BUCKETS)
+        sim.trace.record(
+            sim._now, tr.DELIVER, msg_id=msg_id, msg_kind=message.kind,
             sender=message.sender, receiver=message.receiver,
         )
         if self.resilience is not None:

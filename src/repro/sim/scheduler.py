@@ -226,9 +226,10 @@ class Simulator:
         Events scheduled exactly at ``until`` are executed.  Returns the
         simulation time when the run stopped.
         """
+        queue = self.queue
         executed = 0
-        while self.queue:
-            next_time = self.queue.peek_time()
+        while queue:
+            next_time = queue.peek_time()
             if until is not None and next_time is not None and next_time > until:
                 self._now = until
                 return self._now
@@ -236,7 +237,15 @@ class Simulator:
                 raise SchedulingError(
                     f"exceeded max_events={max_events}; runaway simulation?"
                 )
-            self.step()
+            # The body of step(), inlined: this loop runs once per event.
+            event = queue.pop()
+            if event.time < self._now:
+                raise SchedulingError(
+                    f"time went backwards: {event.time} < {self._now} ({event.label})"
+                )
+            self._now = event.time
+            self._events_executed += 1
+            event.action()
             executed += 1
         if until is not None and until > self._now:
             self._now = until

@@ -84,6 +84,12 @@ class TraceLog:
         self._events: list[TraceEvent] = []
         self._counts: dict[str, int] = {}
         self._total = 0
+        # Bound once: record() runs for every send and delivery.
+        self._emit = self._sink.emit
+        self._emit_fields = self._sink.emit_fields
+        # The sink's retention answer per kind (retains() is a pure
+        # function of the kind, so it is asked once per kind).
+        self._kept_kinds: dict[str, bool] = {}
 
     @property
     def sink(self) -> TraceSink:
@@ -104,15 +110,28 @@ class TraceLog:
         """How many events are held in memory (== ``len`` for MemorySink)."""
         return len(self._events)
 
-    def record(self, time: float, kind: str, **data: Any) -> TraceEvent:
-        """Append an event and return it."""
-        event = TraceEvent(time, kind, data)
+    def record(self, time: float, kind: str, **data: Any) -> TraceEvent | None:
+        """Record an event; return its :class:`TraceEvent`, or ``None``.
+
+        An event of a kind the sink retains is built, kept and handed to
+        :meth:`~repro.obs.sinks.TraceSink.emit`, and returned.  For a kind
+        the sink does not retain no event object is built: the sink gets
+        the fields through :meth:`~repro.obs.sinks.TraceSink.emit_fields`
+        and ``None`` is returned.  The per-kind counts are exact either way.
+        """
         self._total += 1
-        self._counts[kind] = self._counts.get(kind, 0) + 1
-        if self._sink.retains(kind):
+        counts = self._counts
+        counts[kind] = counts.get(kind, 0) + 1
+        retained = self._kept_kinds.get(kind)
+        if retained is None:
+            retained = self._kept_kinds[kind] = self._sink.retains(kind)
+        if retained:
+            event = TraceEvent(time, kind, data)
             self._events.append(event)
-        self._sink.emit(event)
-        return event
+            self._emit(event)
+            return event
+        self._emit_fields(time, kind, data)
+        return None
 
     def close(self) -> None:
         """Flush and close the sink (idempotent; a no-op for memory)."""

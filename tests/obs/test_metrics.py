@@ -59,6 +59,11 @@ class TestHistogram:
         with pytest.raises(ConfigurationError):
             Histogram("x", buckets=(2.0, 1.0))
 
+    @pytest.mark.parametrize("buckets", [(1.0, 1.0), (1.0, float("nan"), 3.0)])
+    def test_equal_or_nan_bounds_rejected(self, buckets):
+        with pytest.raises(ConfigurationError):
+            Histogram("x", buckets=buckets)
+
 
 class TestMetricsRegistry:
     def test_get_or_create_by_name(self):
@@ -78,6 +83,13 @@ class TestMetricsRegistry:
 
     def test_value_of_unknown_name_is_zero(self):
         assert Metrics().value("never") == 0
+
+    def test_inc_rejects_a_decrease(self):
+        m = Metrics()
+        m.inc("sent", 2)
+        with pytest.raises(ConfigurationError, match="cannot decrease"):
+            m.inc("sent", -1)
+        assert m.value("sent") == 2
 
     def test_snapshot_sorted_and_jsonable(self):
         m = Metrics()
